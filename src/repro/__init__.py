@@ -36,33 +36,56 @@ Quickstart
 True
 """
 
-from repro.codes import (
-    ArrangedHotCode,
-    BalancedGrayCode,
-    CodeSpace,
-    GrayCode,
-    HotCode,
-    TreeCode,
-    make_code,
+#: Public name -> the subpackage that defines it.  Resolved on first
+#: access (PEP 562), so ``import repro`` loads no subpackage and pays
+#: nothing for numpy, scipy or the engines until a name is used.
+_EXPORTS = {
+    "ArrangedHotCode": "repro.codes",
+    "BalancedGrayCode": "repro.codes",
+    "CodeSpace": "repro.codes",
+    "GrayCode": "repro.codes",
+    "HotCode": "repro.codes",
+    "TreeCode": "repro.codes",
+    "make_code": "repro.codes",
+    "DecoderDesign": "repro.core",
+    "explore_designs": "repro.core",
+    "optimize_design": "repro.core",
+    "CrossbarMemory": "repro.crossbar",
+    "CrossbarSpec": "repro.crossbar",
+    "crossbar_yield": "repro.crossbar",
+    "effective_bit_area": "repro.crossbar",
+    "sample_defect_map": "repro.crossbar",
+    "simulate_cave_yield": "repro.crossbar",
+    "HalfCaveDecoder": "repro.decoder",
+    "DesignPoint": "repro.exp",
+    "SweepResult": "repro.exp",
+    "design_grid": "repro.exp",
+    "run_sweep": "repro.exp",
+    "DopingPlan": "repro.fabrication",
+    "ProcessFlow": "repro.fabrication",
+    "fabrication_complexity": "repro.fabrication",
+    "MonteCarloEngine": "repro.sim",
+    "StreamingMoments": "repro.sim",
+    "simulate_cave_yield_batched": "repro.sim",
+    "MemoryFleet": "repro.workload",
+    "Trace": "repro.workload",
+    "make_trace": "repro.workload",
+}
+
+#: Subpackages reachable as ``repro.<name>`` after a bare ``import repro``
+#: (the eager re-exports used to load them as a side effect).
+_SUBPACKAGES = (
+    "codes",
+    "core",
+    "crossbar",
+    "decoder",
+    "device",
+    "exp",
+    "fabrication",
+    "obs",
+    "sim",
+    "workload",
 )
-from repro.core import DecoderDesign, explore_designs, optimize_design
-from repro.crossbar import (
-    CrossbarMemory,
-    CrossbarSpec,
-    crossbar_yield,
-    effective_bit_area,
-    sample_defect_map,
-    simulate_cave_yield,
-)
-from repro.decoder import HalfCaveDecoder
-from repro.exp import DesignPoint, SweepResult, design_grid, run_sweep
-from repro.fabrication import DopingPlan, ProcessFlow, fabrication_complexity
-from repro.sim import (
-    MonteCarloEngine,
-    StreamingMoments,
-    simulate_cave_yield_batched,
-)
-from repro.workload import MemoryFleet, Trace, make_trace
 
 __version__ = "1.0.0"
 
@@ -99,3 +122,23 @@ __all__ = [
     "simulate_cave_yield",
     "simulate_cave_yield_batched",
 ]
+
+
+def __getattr__(name: str):
+    """Import a re-exported name or subpackage on first access (PEP 562)."""
+    import importlib
+
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    elif name in _SUBPACKAGES:
+        value = importlib.import_module(f"repro.{name}")
+    else:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    """What eager re-exports listed: public names, subpackages, dunders."""
+    names = {*globals(), *__all__, *_SUBPACKAGES}
+    return sorted(names - {"_EXPORTS", "_SUBPACKAGES", "__getattr__", "__dir__"})

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 
 from repro import api, obs
 from repro.analysis.export import series_to_csv, to_json
@@ -880,6 +881,24 @@ def _timing_payload() -> dict:
     }
 
 
+@contextmanager
+def _input_errors(args: argparse.Namespace) -> Iterator[None]:
+    """Report a ``ValueError`` raised while building a request or spec.
+
+    Prints one line, ``repro <command>: error: <message>``, to stderr
+    and exits 2 (argparse's code for bad arguments) instead of showing
+    a traceback.  ``PhysicsError`` and ``CapacityError`` are
+    ``ValueError`` subclasses and land here too.  Only request and spec
+    construction is wrapped, so a failure inside an engine still shows
+    its traceback.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _spec_from_args(args: argparse.Namespace) -> CrossbarSpec:
     base = CrossbarSpec(raw_kilobytes=args.raw_kb)
     return spec_with(
@@ -961,8 +980,13 @@ def _parse_axis_values(text: str) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _grid_from_args(args: argparse.Namespace) -> list:
-    """The design-point grid an ``_add_grid_args`` namespace describes."""
+def _grid_from_args(args: argparse.Namespace, spec: CrossbarSpec) -> list:
+    """The design-point grid an ``_add_grid_args`` namespace describes.
+
+    Every distinct override set is applied to ``spec`` once here, so an
+    inadmissible value (``nanowires=-3``) raises its ``ValueError``
+    before any evaluation starts.
+    """
     from repro.exp.designpoint import design_grid
 
     axes = {}
@@ -987,6 +1011,8 @@ def _grid_from_args(args: argparse.Namespace) -> list:
         raise SystemExit(str(exc))
     if not points:
         raise SystemExit("the requested grid has no admissible design points")
+    for overrides in {p.overrides for p in points}:
+        spec_with(spec, **dict(overrides))
     return points
 
 
@@ -1061,12 +1087,13 @@ def _cmd_sweep(spec: CrossbarSpec, args: argparse.Namespace) -> str:
     from repro.exp.cache import cache_stats
     from repro.exp.pipeline import default_jobs
 
-    request = api.SweepRequest(
-        points=tuple(_grid_from_args(args)),
-        metrics=_metrics_from_args(args),
-        spec=spec,
-        params=_params_from_args(args),
-    )
+    with _input_errors(args):
+        request = api.SweepRequest(
+            points=tuple(_grid_from_args(args, spec)),
+            metrics=_metrics_from_args(args),
+            spec=spec,
+            params=_params_from_args(args),
+        )
     result = _run_request(
         args,
         "evaluate",
@@ -1099,27 +1126,30 @@ def _cmd_shard(spec: CrossbarSpec, args: argparse.Namespace) -> str:
     from repro.exp.results import SweepResult
 
     if args.shard_command == "plan":
-        if args.plan_kind == "sweep":
-            plan = dist.plan_sweep_shards(
-                _grid_from_args(args),
-                metrics=_metrics_from_args(args),
-                shards=args.shards,
-                spec=spec,
-                params=_params_from_args(args),
-            )
-        else:
-            plan = dist.plan_mc_shards(
-                args.plan_kind,
-                args.family,
-                args.length,
-                shards=args.shards,
-                samples=args.samples,
-                n=args.valence,
-                spec=spec,
-                seed=args.seed,
-                k_sigma=getattr(args, "k_sigma", 3.0),
-                stream_block=args.stream_block,
-            )
+        # planning only builds and validates shard requests: bad values
+        # are input errors, reported before anything is written
+        with _input_errors(args):
+            if args.plan_kind == "sweep":
+                plan = dist.plan_sweep_shards(
+                    _grid_from_args(args, spec),
+                    metrics=_metrics_from_args(args),
+                    shards=args.shards,
+                    spec=spec,
+                    params=_params_from_args(args),
+                )
+            else:
+                plan = dist.plan_mc_shards(
+                    args.plan_kind,
+                    args.family,
+                    args.length,
+                    shards=args.shards,
+                    samples=args.samples,
+                    n=args.valence,
+                    spec=spec,
+                    seed=args.seed,
+                    k_sigma=getattr(args, "k_sigma", 3.0),
+                    stream_block=args.stream_block,
+                )
         dist.write_job(args.job_dir, plan)
         rows = [[s.index, s.key, s.units] for s in plan.shards]
         table = render_table(["shard", "key", "units"], rows)
@@ -1244,15 +1274,16 @@ def _scalar_csv(payload: dict) -> str:
 def _cmd_simulate(spec: CrossbarSpec, args: argparse.Namespace) -> str:
     import json as _json
 
-    request = api.McRequest(
-        kind="cavemc",
-        family=args.family,
-        total_length=args.length,
-        n=args.valence,
-        samples=args.samples,
-        seed=args.seed,
-        spec=spec,
-    )
+    with _input_errors(args):
+        request = api.McRequest(
+            kind="cavemc",
+            family=args.family,
+            total_length=args.length,
+            n=args.valence,
+            samples=args.samples,
+            seed=args.seed,
+            spec=spec,
+        )
     with obs.span("cli.simulate.run", samples=args.samples) as sp:
         mc = _run_request(
             args,
@@ -1295,25 +1326,26 @@ def _cmd_simulate(spec: CrossbarSpec, args: argparse.Namespace) -> str:
 def _cmd_memsim(spec: CrossbarSpec, args: argparse.Namespace) -> str:
     import json as _json
 
-    request = api.WorkloadRequest(
-        family=args.family,
-        total_length=args.length,
-        n=args.valence,
-        trace=args.trace,
-        accesses=args.accesses,
-        instances=args.instances,
-        write_fraction=args.write_fraction,
-        seed=args.seed,
-        parity_bits=args.parity_bits if args.ecc else 0,
-        error_rate=args.error_rate,
-        address_space=args.address_space,
-        readout=args.readout if args.readout is not None else "off",
-        r_on=args.r_on,
-        r_off=args.r_off,
-        v_read=args.v_read,
-        resolution=args.resolution,
-        spec=spec,
-    )
+    with _input_errors(args):
+        request = api.WorkloadRequest(
+            family=args.family,
+            total_length=args.length,
+            n=args.valence,
+            trace=args.trace,
+            accesses=args.accesses,
+            instances=args.instances,
+            write_fraction=args.write_fraction,
+            seed=args.seed,
+            parity_bits=args.parity_bits if args.ecc else 0,
+            error_rate=args.error_rate,
+            address_space=args.address_space,
+            readout=args.readout if args.readout is not None else "off",
+            r_on=args.r_on,
+            r_off=args.r_off,
+            v_read=args.v_read,
+            resolution=args.resolution,
+            spec=spec,
+        )
     with obs.span("cli.memsim.run", accesses=args.accesses) as sp:
         result = _run_request(
             args,
@@ -1621,7 +1653,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     streams the events as JSONL.  stdout is never touched by telemetry.
     """
     args = build_parser().parse_args(argv)
-    spec = _spec_from_args(args)
+    with _input_errors(args):
+        spec = _spec_from_args(args)
 
     if args.faults:
         from repro import faults as _faults

@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import spsolve
 
 from repro.crossbar.readout import METHODS, ReadoutError, ReadoutModel
 
@@ -125,6 +123,9 @@ class DistributedReadout:
 
     def _read_current_loop(self, g: np.ndarray, row: int, col: int) -> float:
         """Scalar per-cell reference: dict stamping, one sparse solve."""
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.linalg import spsolve
+
         rows, cols = g.shape
         n_nodes = 2 * rows * cols
 

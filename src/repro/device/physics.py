@@ -11,20 +11,22 @@ We use the long-channel enhancement-mode MOS threshold equation
     phi_F(N_A) = (kT/q) * ln(N_A / n_i)
 
 which is monotonically increasing in the channel doping ``N_A`` and is
-inverted numerically (scipy.brentq) to obtain ``f``.  The gate stack
-(oxide thickness and flat-band voltage) is fitted once so the worked
-Example 1 of the paper is approximated; the decoder results only require
-monotonicity + non-linearity + bijectivity, all of which hold for any
-stack.
+inverted numerically (:func:`brentq`, a pure-Python port of SciPy's
+Brent solver that returns the same doubles) to obtain ``f``.  The gate
+stack (oxide thickness and flat-band voltage) is fitted once so the
+worked Example 1 of the paper is approximated; the decoder results only
+require monotonicity + non-linearity + bijectivity, all of which hold
+for any stack.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.device.materials import (
     ELEMENTARY_CHARGE,
@@ -42,6 +44,77 @@ class PhysicsError(ValueError):
 #: Doping bracket within which the model is inverted [cm^-3].
 DOPING_MIN = 1e15
 DOPING_MAX = 1e21
+
+
+def brentq(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    xtol: float = 2e-12,
+    rtol: float = 4 * sys.float_info.epsilon,
+    maxiter: int = 100,
+) -> float:
+    """Root of ``f`` in the sign-changing bracket ``[a, b]`` (Brent's method).
+
+    A line-for-line port of SciPy's ``brentq.c`` with the same defaults,
+    so it returns the same double as ``scipy.optimize.brentq`` bit for
+    bit: every step is the same IEEE operation in the same order.  It
+    keeps SciPy off the import path of everything that inverts the
+    threshold equation.  Raises ``ValueError`` when ``f(a)`` and
+    ``f(b)`` have the same sign or ``f`` returns NaN, and
+    ``RuntimeError`` when ``maxiter`` steps do not converge.
+    """
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"f({x}) is NaN; solver cannot continue")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (
+            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                    dblk * dpre * (fblk - fpre)
+                )
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations")
 
 
 @dataclass(frozen=True)
@@ -92,7 +165,7 @@ class ThresholdModel:
                 f"VT {vt:.3f} V outside achievable range "
                 f"[{vt_lo:.3f}, {vt_hi:.3f}] V for this gate stack"
             )
-        return float(brentq(lambda na: self.vt_from_doping(na) - vt, lo, hi))
+        return brentq(lambda na: self.vt_from_doping(na) - vt, lo, hi)
 
     def vt_range(self) -> tuple[float, float]:
         """Threshold voltages achievable within the doping bracket."""

@@ -14,7 +14,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf
 
 #: The paper's threshold-voltage variability per doping operation [V].
 DEFAULT_SIGMA_T = 0.050
@@ -54,6 +53,9 @@ def window_pass_probability(
     """
     if halfwidth <= 0:
         raise ValueError(f"window halfwidth must be positive, got {halfwidth}")
+    # scipy's cephes erf, not math.erf: the two differ in the last bits
+    from scipy.special import erf
+
     std = np.asarray(std, dtype=float)
     out = np.ones_like(std)
     nz = std > 0

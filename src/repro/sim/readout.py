@@ -44,9 +44,6 @@ from collections import OrderedDict
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import splu
 
 from repro import obs
 
@@ -202,8 +199,8 @@ def ideal_laplacian(g: np.ndarray) -> np.ndarray:
 
 def distributed_laplacian(
     g: np.ndarray, row_segment_g: float, col_segment_g: float
-) -> "coo_matrix":
-    """Sparse Laplacian of the distributed-line network (COO triplets).
+):
+    """Sparse (CSR) Laplacian of the distributed-line network.
 
     One node per line crossing (``2 * rows * cols`` total): node
     ``i * cols + j`` is the row-line crossing, ``rows * cols + i * cols
@@ -213,6 +210,8 @@ def distributed_laplacian(
     summed by the sparse constructor — the vectorized equivalent of the
     scalar path's dict-based stamping.
     """
+    from scipy.sparse import coo_matrix
+
     rows, cols = g.shape
     n = 2 * rows * cols
     rnode = np.arange(rows * cols).reshape(rows, cols)
@@ -329,6 +328,8 @@ class IdealBank:
 
     def _green_columns(self, nodes: np.ndarray) -> np.ndarray:
         """Green's-function columns (gauge: node 0 grounded) for ``nodes``."""
+        from scipy.linalg import lu_factor, lu_solve
+
         if self._lu is None:
             self._lu = lu_factor(self.lap[1:, 1:])
             obs.counter("readout.factorizations.lu")
@@ -449,6 +450,8 @@ class DistributedBank:
     def _green_columns(self, nodes: np.ndarray) -> np.ndarray:
         """Green's-function columns (gauge: node 0 grounded) for ``nodes``."""
         if self._green is None:
+            from scipy.sparse.linalg import splu
+
             self._green = splu(self.lap[1:, :][:, 1:].tocsc())
             obs.counter("readout.factorizations.splu")
         rhs = np.zeros((self.n_nodes - 1, nodes.size))
@@ -467,6 +470,8 @@ class DistributedBank:
         whole cell batch; only the fixed *values* change per cell.
         """
         if self._biased is None:
+            from scipy.sparse.linalg import splu
+
             row_ends = np.arange(self.rows) * self.cols
             col_ends = self.rows * self.cols + np.arange(self.cols)
             fixed = np.concatenate([row_ends, col_ends])

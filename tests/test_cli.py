@@ -211,6 +211,58 @@ class TestPlatformKnobs:
         assert loose != tight
 
 
+class TestInvalidInput:
+    """Bad values give one ``repro <cmd>: error:`` line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["simulate", "BGC", "-M", "8", "--samples", "0"],
+                "repro simulate: error: samples must be >= 1, got 0",
+            ),
+            (
+                ["sweep", "--axis", "nanowires=-3"],
+                "repro sweep: error: need at least one nanowire per half cave",
+            ),
+            (
+                ["memsim", "BGC", "-M", "8", "--accesses", "0"],
+                "repro memsim: error: accesses must be >= 1, got 0",
+            ),
+            (
+                ["--nanowires", "0", "info"],
+                "repro info: error: need at least one nanowire per half cave",
+            ),
+        ],
+    )
+    def test_one_line_error_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [
+            ("sweep", ["--axis", "nanowires=-3"]),
+            ("marginmc", ["BGC", "-M", "8", "--samples", "0"]),
+        ],
+    )
+    def test_shard_plan_rejects_bad_values_before_writing(
+        self, capsys, tmp_path, kind, extra
+    ):
+        job = tmp_path / "job"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["shard", "plan", kind, str(job), *extra])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro shard: error: ")
+        assert err.count("\n") == 1
+        assert not job.exists()
+
+
 class TestSharedOptions:
     """Golden agreement of the shared option layer across subcommands."""
 

@@ -1,0 +1,125 @@
+"""Import hygiene: what each entry point loads, checked in a fresh process.
+
+SciPy is imported only where it is used: ``scipy.special`` by the
+Gaussian window ``erf`` (every yield evaluation) and ``scipy.linalg`` /
+``scipy.sparse`` by the electrical readout solvers.  ``import repro``
+loads no subpackage at all; its re-exports resolve on first access.
+Each check runs in a new interpreter, because this test process has
+long since imported everything.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parents[1]
+
+#: Child environment: this checkout's sources, no store or fault plan.
+ENV = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+ENV["PYTHONPATH"] = str(SRC)
+
+
+def _loaded_after(code: str) -> list[str]:
+    """Names in ``sys.modules`` after running ``code`` in a fresh process."""
+    probe = (
+        f"{code}\n"
+        "import json, sys\n"
+        "sys.stdout.write('\\n' + json.dumps(sorted(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=ENV,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.rsplit("\n", 1)[-1])
+
+
+def _scipy(modules: list[str]) -> list[str]:
+    return [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
+def _cli_loads(argv: list[str]) -> list[str]:
+    return _loaded_after(
+        "import contextlib, io, repro.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    with contextlib.suppress(SystemExit):\n"
+        f"        repro.cli.main({argv!r})\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "module", ["repro", "repro.cli", "repro.api", "repro.serve.client"]
+)
+def test_import_loads_no_scipy(module):
+    assert _scipy(_loaded_after(f"import {module}")) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig7"],
+        ["sweep", "--families", "TC,BGC", "--lengths", "6", "--metric", "yield"],
+    ],
+)
+def test_figure_and_sweep_load_no_solver_scipy(argv):
+    loaded = set(_cli_loads(argv))
+    assert "scipy.special" in loaded  # the window erf
+    for heavy in ("scipy.optimize", "scipy.linalg", "scipy.sparse"):
+        assert heavy not in loaded, heavy
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["info"]])
+def test_light_commands_load_no_scipy(argv):
+    assert _scipy(_cli_loads(argv)) == []
+
+
+def test_shard_plan_and_merge_load_no_scipy(tmp_path):
+    job = str(tmp_path / "job")
+    grid = ["--families", "TC", "--lengths", "6", "--metric", "yield"]
+    assert _scipy(_cli_loads(["shard", "plan", "sweep", job, *grid])) == []
+    subprocess.run(
+        [sys.executable, "-m", "repro", "shard", "launch", job, "--workers", "1"],
+        env=ENV,
+        check=True,
+        capture_output=True,
+        timeout=120,
+    )
+    assert _scipy(_cli_loads(["shard", "merge", job])) == []
+
+
+def test_bare_import_loads_no_subpackage():
+    modules = _loaded_after("import repro")
+    assert [m for m in modules if m.startswith("repro.")] == []
+
+
+class TestLazyExports:
+    """``tests/test_integration.py`` checks every ``__all__`` name resolves."""
+
+    def test_exports_are_the_subpackage_objects(self):
+        from repro.codes import make_code
+        from repro.exp import run_sweep
+
+        assert repro.make_code is make_code
+        assert repro.run_sweep is run_sweep
+
+    def test_dir_lists_exports_and_subpackages(self):
+        listed = set(dir(repro))
+        assert set(repro.__all__) <= listed
+        for sub in ("codes", "core", "crossbar", "exp", "obs", "sim", "workload"):
+            assert sub in listed
+            assert getattr(repro, sub).__name__ == f"repro.{sub}"
+        assert "_EXPORTS" not in listed
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(repro, "no_such_name")
+        assert not hasattr(repro, "no_such_name")
