@@ -12,6 +12,7 @@ diff them across commits.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,10 @@ import pytest
 from repro.crossbar.spec import CrossbarSpec
 
 OUTPUT_DIR = Path(__file__).resolve().parent / "output"
+
+# the speedup gates time the engines against the scalar references in
+# tests/oracles/, imported as the top-level package ``oracles``
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,11 @@
 #
 #   ./run_checks.sh          # tests + small-budget perf smoke
 #   FULL_BENCH=1 ./run_checks.sh   # also the full 100k-trial speedup gate
+#
+# The engine speedup gates time each batched engine against a frozen
+# scalar reference: the loops in tests/oracles/ (which the benches
+# import as ``oracles``), plus the seed cave-yield copy frozen inside
+# bench_sim_engine.py for that gate's headline.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -26,7 +31,8 @@ python -m pytest -x -q --durations=10 tests
 echo
 echo "== sim-engine perf smoke =="
 if [[ "${FULL_BENCH:-0}" == "1" ]]; then
-    # acceptance protocol: both sides at 100k trials, >= 20x
+    # acceptance protocol: both sides at 100k trials, >= 20x vs the
+    # frozen seed loop (the scalar oracle's rate is reported alongside)
     python -m pytest -q benchmarks/bench_sim_engine.py
 else
     # small trial budget: checks the plumbing and records throughput,
@@ -54,7 +60,7 @@ if [[ "${FULL_BENCH:-0}" == "1" ]]; then
     python -m pytest -q benchmarks/bench_workload.py
 else
     # smaller trace/fleet with a loose floor so container noise cannot
-    # flake it; correctness gates (loop equivalence, chunk invariance)
+    # flake it; correctness gates (oracle equivalence, chunk invariance)
     # run at full strictness either way
     WORKLOAD_BENCH_ACCESSES=200000 WORKLOAD_BENCH_INSTANCES=8 \
     WORKLOAD_BENCH_LOOP_ACCESSES=10000 WORKLOAD_BENCH_MIN_SPEEDUP=5 \
@@ -65,7 +71,7 @@ echo
 echo "== margin-engine perf smoke =="
 if [[ "${FULL_BENCH:-0}" == "1" ]]; then
     # acceptance protocol: 3-family margin-yield sweep, >= 10x vs the
-    # frozen scalar pairwise loop
+    # scalar pairwise oracle (oracles.margins)
     python -m pytest -q benchmarks/bench_margins.py
 else
     # smaller trial budgets with a loose floor so container noise
@@ -80,7 +86,8 @@ echo
 echo "== readout-engine perf smoke =="
 if [[ "${FULL_BENCH:-0}" == "1" ]]; then
     # acceptance protocol: 64x64 all-scheme margin sweep, >= 10x vs the
-    # scalar per-cell stamping loop, margins byte-identical
+    # scalar per-cell stamping oracle (oracles.readout), margins
+    # byte-identical
     python -m pytest -q benchmarks/bench_readout.py
 else
     # fewer timing segments with a loose floor so container noise
@@ -95,11 +102,12 @@ echo
 echo "== workload-readout perf smoke =="
 if [[ "${FULL_BENCH:-0}" == "1" ]]; then
     # acceptance protocol: hot-set zipfian trace read electrically on a
-    # 64x64 platform, >= 10x vs the per-access scalar sensing loop
+    # 64x64 platform, >= 10x vs the per-access scalar sensing oracle
+    # (oracles.workload)
     python -m pytest -q benchmarks/bench_workload_readout.py
 else
     # smaller trace/fleet with a loose floor so container noise cannot
-    # flake it; correctness gates (electrical loop equivalence, bank
+    # flake it; correctness gates (electrical oracle equivalence, bank
     # cache effectiveness) run at full strictness either way
     READOUT_WL_BENCH_ACCESSES=10000 READOUT_WL_BENCH_INSTANCES=4 \
     READOUT_WL_BENCH_LOOP_ACCESSES=1000 READOUT_WL_BENCH_MIN_SPEEDUP=5 \

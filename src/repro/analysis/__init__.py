@@ -1,9 +1,10 @@
-"""Analysis layer: figure data generators, headline statistics, sweeps.
+"""Analysis layer: figure data generators, headline statistics, reports.
 
 One generator per paper figure (:mod:`repro.analysis.figures`), one
-measurable function per textual claim (:mod:`repro.analysis.stats`), a
-generic sweep engine (:mod:`repro.analysis.sweeps`) and plain-text
-reporting (:mod:`repro.analysis.report`).
+measurable function per textual claim (:mod:`repro.analysis.stats`),
+platform-spec overrides for parameter sweeps
+(:mod:`repro.analysis.sweeps`) and plain-text reporting
+(:mod:`repro.analysis.report`).
 """
 
 from repro.analysis.figures import (
@@ -58,7 +59,7 @@ from repro.analysis.stats import (
     tc_area_saving,
     tc_yield_gain,
 )
-from repro.analysis.sweeps import Record, grid_sweep, spec_with, sweep
+from repro.analysis.sweeps import spec_with
 
 __all__ = [
     "CalibrationPoint",
@@ -80,7 +81,6 @@ __all__ = [
     "FIG5_NANOWIRES",
     "FIG6_NANOWIRES",
     "HOT_LENGTHS",
-    "Record",
     "TREE_LENGTHS",
     "ahc_vs_hc_area",
     "ahc_vs_hc_yield",
@@ -96,13 +96,11 @@ __all__ = [
     "format_delta_percent",
     "format_percent",
     "gray_complexity_reduction",
-    "grid_sweep",
     "headline_summary",
     "min_bit_area",
     "paper_vs_measured",
     "render_table",
     "spec_with",
-    "sweep",
     "tc_area_saving",
     "tc_yield_gain",
 ]

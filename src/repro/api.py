@@ -27,10 +27,10 @@ shortest-round-trip floats).  :func:`request_digest` is the sha256 of
 that canonical text — the content address the result store
 (:mod:`repro.store`) and the daemon key on.  Only *result-determining*
 fields enter the canonical payload: execution knobs (``jobs``,
-``method``, ``chunk_size``) never change result bytes (asserted across
-the test suite) and are therefore passed to the facade functions
-separately, so a sweep computed with 8 workers is a cache hit for a
-client asking with 1.
+``chunk_size``) never change result bytes (asserted across the test
+suite) and are therefore passed to the facade functions separately,
+so a sweep computed with 8 workers is a cache hit for a client asking
+with 1.
 """
 
 from __future__ import annotations
@@ -499,34 +499,29 @@ def evaluate(
 def simulate(
     request: McRequest,
     *,
-    method: str = "batched",
     chunk_size: int = DEFAULT_MAX_TRIALS_PER_CHUNK,
     store=None,
 ) -> MonteCarloYield | MonteCarloMarginYield:
     """Run a Monte-Carlo request on the batched sim engine.
 
-    ``method`` and ``chunk_size`` are execution knobs: for ``marginmc``
-    both methods produce identical sampled yields, and no result
-    depends on the chunk size, so store entries are shared across all
-    of them.  (For ``cavemc`` the legacy loop uses a different stream
-    layout — store entries always hold the ``batched`` estimate, so
-    ``method="loop"`` bypasses the store.)
+    ``chunk_size`` is an execution knob: no result depends on it, so
+    one store entry serves every chunk size.
     """
-    if store is not None and not (request.kind == "cavemc" and method == "loop"):
+    if store is not None:
         digest = request_digest(request)
         hit = store.get(digest)
         if hit is not None:
             return mc_result_from_dict(hit["mc"])
-        result = _simulate_direct(request, method=method, chunk_size=chunk_size)
+        result = _simulate_direct(request, chunk_size=chunk_size)
         store.put(
             digest, request.kind, request.to_dict(), {"mc": mc_result_to_dict(result)}
         )
         return result
-    return _simulate_direct(request, method=method, chunk_size=chunk_size)
+    return _simulate_direct(request, chunk_size=chunk_size)
 
 
 def _simulate_direct(
-    request: McRequest, *, method: str, chunk_size: int
+    request: McRequest, *, chunk_size: int
 ) -> MonteCarloYield | MonteCarloMarginYield:
     from repro.codes.registry import make_code
 
@@ -539,7 +534,6 @@ def _simulate_direct(
             samples=request.samples,
             seed=request.seed,
             k_sigma=request.k_sigma,
-            method=method,
             max_trials_per_chunk=chunk_size,
             stream_block=request.stream_block,
         )
@@ -548,7 +542,6 @@ def _simulate_direct(
         code,
         samples=request.samples,
         seed=request.seed,
-        method=method,
         max_trials_per_chunk=chunk_size,
         stream_block=request.stream_block,
     )
@@ -557,33 +550,31 @@ def _simulate_direct(
 def memsim(
     request: WorkloadRequest,
     *,
-    method: str = "batched",
     chunk_size: int = DEFAULT_MAX_TRIALS_PER_CHUNK,
     store=None,
 ) -> WorkloadResult:
     """Run a workload request over a sampled fleet.
 
-    Metric summaries are byte-identical across ``method`` and
-    ``chunk_size`` (the workload engine's equivalence contract), so
-    store entries are shared across execution knobs; only the
-    ``cache`` statistics section reflects the run that populated the
-    store.
+    Metric summaries are byte-identical across ``chunk_size`` (the
+    workload engine's equivalence contract), so one store entry serves
+    every chunk size; only the ``cache`` statistics section reflects
+    the run that populated the store.
     """
     if store is not None:
         digest = request_digest(request)
         hit = store.get(digest)
         if hit is not None:
             return WorkloadResult.from_dict(hit["workload"])
-        result = _memsim_direct(request, method=method, chunk_size=chunk_size)
+        result = _memsim_direct(request, chunk_size=chunk_size)
         store.put(
             digest, request.kind, request.to_dict(), {"workload": result.to_dict()}
         )
         return result
-    return _memsim_direct(request, method=method, chunk_size=chunk_size)
+    return _memsim_direct(request, chunk_size=chunk_size)
 
 
 def _memsim_direct(
-    request: WorkloadRequest, *, method: str, chunk_size: int
+    request: WorkloadRequest, *, chunk_size: int
 ) -> WorkloadResult:
     from repro.codes.registry import make_code
     from repro.crossbar.ecc import SecdedCode
@@ -631,7 +622,6 @@ def _memsim_direct(
         }
     result = fleet.run(
         trace,
-        method=method,
         chunk_size=chunk_size,
         seed=request.seed,
         write_error_rate=request.error_rate,

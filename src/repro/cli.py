@@ -37,7 +37,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Iterator, NoReturn, Sequence
 
 from repro import api, obs
 from repro.analysis.export import series_to_csv, to_json
@@ -64,16 +64,14 @@ FAMILY_CHOICES = ["TC", "GC", "BGC", "HC", "AHC"]
 # same helper, so names, defaults, choices and help text agree across
 # the whole CLI (pinned by a golden test in tests/test_cli.py).
 
-#: The one help string of every ``--method`` option.
-METHOD_HELP = (
-    "vectorised batched engine (default) or the scalar reference "
-    "loop (byte-identical results)"
-)
+#: The engine every result comes from, echoed as the ``method`` entry of
+#: the simulate, memsim and margins output so its layout stays stable.
+ENGINE = "batched"
 
 #: The one help string of every ``--seed`` option.
 SEED_HELP = (
     "root seed; results are deterministic per seed and independent "
-    "of --jobs, --method and --chunk-size"
+    "of --jobs and --chunk-size"
 )
 
 #: The one help string of every ``--chunk-size`` option.
@@ -93,12 +91,6 @@ VIA_HELP = (
 )
 
 FORMAT_CHOICES = ["table", "csv", "json"]
-
-
-def _add_method_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--method", default="batched", choices=["batched", "loop"], help=METHOD_HELP
-    )
 
 
 def _add_seed_arg(p: argparse.ArgumentParser) -> None:
@@ -394,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_seed_arg(p)
     _add_chunk_arg(p)
-    _add_method_arg(p)
     _add_format_arg(p)
     _add_via_arg(p)
 
@@ -475,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_seed_arg(p)
     _add_chunk_arg(p)
-    _add_method_arg(p)
     p.add_argument(
         "--readout",
         nargs="?",
@@ -569,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_seed_arg(p)
     _add_chunk_arg(p)
-    _add_method_arg(p)
     _add_format_arg(p)
     _add_via_arg(p)
 
@@ -605,7 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0e7,
         help="crosspoint OFF resistance [ohm] (default 1e7)",
     )
-    _add_method_arg(p)
 
     sub.add_parser("calibrate", help="score the calibration grid")
 
@@ -895,8 +883,13 @@ def _input_errors(args: argparse.Namespace) -> Iterator[None]:
     try:
         yield
     except ValueError as exc:
-        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _input_error(args, str(exc))
+
+
+def _input_error(args: argparse.Namespace, message: str) -> NoReturn:
+    """Print ``repro <command>: error: <message>`` to stderr; exit 2."""
+    print(f"repro {args.command}: error: {message}", file=sys.stderr)
+    raise SystemExit(2) from None
 
 
 def _spec_from_args(args: argparse.Namespace) -> CrossbarSpec:
@@ -993,24 +986,19 @@ def _grid_from_args(args: argparse.Namespace, spec: CrossbarSpec) -> list:
     for item in args.axis:
         name, _, values = item.partition("=")
         if not values:
-            raise SystemExit(f"--axis expects NAME=V1,V2,..., got {item!r}")
+            raise ValueError(f"--axis expects NAME=V1,V2,..., got {item!r}")
         try:
             axes[name.strip()] = _parse_axis_values(values)
         except ValueError:
-            raise SystemExit(f"--axis has a malformed value list: {item!r}")
-    try:
-        points = design_grid(
-            families=tuple(
-                f.strip() for f in args.families.split(",") if f.strip()
-            ),
-            lengths=tuple(int(m) for m in args.lengths.split(",") if m.strip()),
-            n=args.valence,
-            axes=axes,
-        )
-    except ValueError as exc:  # e.g. an unknown --axis override name
-        raise SystemExit(str(exc))
+            raise ValueError(f"--axis has a malformed value list: {item!r}") from None
+    points = design_grid(
+        families=tuple(f.strip() for f in args.families.split(",") if f.strip()),
+        lengths=tuple(int(m) for m in args.lengths.split(",") if m.strip()),
+        n=args.valence,
+        axes=axes,
+    )
     if not points:
-        raise SystemExit("the requested grid has no admissible design points")
+        raise ValueError("the requested grid has no admissible design points")
     for overrides in {p.overrides for p in points}:
         spec_with(spec, **dict(overrides))
     return points
@@ -1289,7 +1277,6 @@ def _cmd_simulate(spec: CrossbarSpec, args: argparse.Namespace) -> str:
             args,
             "simulate",
             request,
-            method=args.method,
             chunk_size=args.chunk_size,
         )
     elapsed = max(sp.wall_s, 1e-9)
@@ -1298,7 +1285,7 @@ def _cmd_simulate(spec: CrossbarSpec, args: argparse.Namespace) -> str:
         payload = {
             "family": args.family,
             "total_length": args.length,
-            "method": args.method,
+            "method": ENGINE,
             "samples": mc.samples,
             "mean_cave_yield": mc.mean_cave_yield,
             "std_cave_yield": mc.std_cave_yield,
@@ -1312,7 +1299,7 @@ def _cmd_simulate(spec: CrossbarSpec, args: argparse.Namespace) -> str:
         return _json.dumps(payload, indent=2)
 
     rows = [
-        ["method", args.method],
+        ["method", ENGINE],
         ["samples", mc.samples],
         ["trials/s", f"{mc.samples / elapsed:,.0f}"],
         ["mean cave yield", f"{100 * mc.mean_cave_yield:.2f}%"],
@@ -1351,7 +1338,6 @@ def _cmd_memsim(spec: CrossbarSpec, args: argparse.Namespace) -> str:
             args,
             "memsim",
             request,
-            method=args.method,
             chunk_size=args.chunk_size,
         )
     elapsed = max(sp.wall_s, 1e-9)
@@ -1366,7 +1352,7 @@ def _cmd_memsim(spec: CrossbarSpec, args: argparse.Namespace) -> str:
             "instances": result.instances,
             "address_space": result.address_space,
             "ecc": result.ecc,
-            "method": args.method,
+            "method": ENGINE,
             "accesses_per_second": result.accesses * result.instances / elapsed,
             "metrics": result.metrics,
             "exhausted_fraction": result.exhausted_fraction,
@@ -1391,7 +1377,7 @@ def _cmd_memsim(spec: CrossbarSpec, args: argparse.Namespace) -> str:
         ["instances", result.instances],
         ["address space", result.address_space],
         ["ecc", f"SECDED r={result.parity_bits}" if result.ecc else "off"],
-        ["method", args.method],
+        ["method", ENGINE],
         ["fleet accesses/s", f"{result.accesses * result.instances / elapsed:,.0f}"],
     ]
     if result.electrical:
@@ -1460,7 +1446,7 @@ def _cmd_margins(spec: CrossbarSpec, args: argparse.Namespace) -> str:
 
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     if not families:
-        raise SystemExit("--family expects at least one family name")
+        _input_error(args, "--family expects at least one family name")
     results = []
     for family in families:
         code = make_code(family, args.valence, args.length)
@@ -1469,7 +1455,6 @@ def _cmd_margins(spec: CrossbarSpec, args: argparse.Namespace) -> str:
             spec.nanowires_per_half_cave,
             sigma_t=spec.sigma_t,
             k_sigma=args.k_sigma,
-            method=args.method,
         )
         entry = {
             "family": family,
@@ -1482,7 +1467,6 @@ def _cmd_margins(spec: CrossbarSpec, args: argparse.Namespace) -> str:
                 spec.nanowires_per_half_cave,
                 sigma_t=spec.sigma_t,
                 k_sigma=args.k_sigma,
-                method=args.method,
             ),
         }
         if args.samples > 0:
@@ -1501,7 +1485,6 @@ def _cmd_margins(spec: CrossbarSpec, args: argparse.Namespace) -> str:
                     k_sigma=args.k_sigma,
                     spec=spec,
                 ),
-                method=args.method,
                 chunk_size=args.chunk_size,
             )
             entry["mc_margin_yield"] = mc.mean_margin_yield
@@ -1517,7 +1500,7 @@ def _cmd_margins(spec: CrossbarSpec, args: argparse.Namespace) -> str:
             "k_sigma": args.k_sigma,
             "samples": args.samples,
             "seed": args.seed,
-            "method": args.method,
+            "method": ENGINE,
             "families": results,
             "timing": _timing_payload(),
         }
@@ -1558,31 +1541,23 @@ def _cmd_margins(spec: CrossbarSpec, args: argparse.Namespace) -> str:
 
 
 def _cmd_readout(args: argparse.Namespace) -> str:
-    from repro.crossbar.readout import SCHEMES, ReadoutModel
+    from repro.crossbar.readout import SCHEMES
     from repro.sim.readout import scheme_margin_sweep
 
     try:
         sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip())
     except ValueError:
-        raise SystemExit(f"--sizes has a malformed value list: {args.sizes!r}")
+        _input_error(args, f"--sizes has a malformed value list: {args.sizes!r}")
     if not sizes:
-        raise SystemExit("--sizes expects at least one bank size")
+        _input_error(args, "--sizes expects at least one bank size")
     if min(sizes) < 1:
-        raise SystemExit(f"--sizes expects positive bank sizes, got {args.sizes!r}")
+        _input_error(args, f"--sizes expects positive bank sizes, got {args.sizes!r}")
     schemes = SCHEMES if args.scheme == "all" else (args.scheme,)
-    if args.method == "batched":
-        # one engine sweep: each bank size's stamped Laplacians are
-        # shared across every requested scheme
-        sweep = scheme_margin_sweep(
-            sizes, r_on=args.r_on, r_off=args.r_off, schemes=schemes
-        )
-    else:
-        sweep = {
-            s: ReadoutModel(
-                r_on=args.r_on, r_off=args.r_off, scheme=s, method="loop"
-            ).sense_margins(sizes)
-            for s in schemes
-        }
+    # one engine sweep: each bank size's stamped Laplacians are shared
+    # across every requested scheme
+    sweep = scheme_margin_sweep(
+        sizes, r_on=args.r_on, r_off=args.r_off, schemes=schemes
+    )
     rows = [
         [size] + [f"{100 * sweep[s][k]:.1f}%" for s in schemes]
         for k, size in enumerate(sizes)
@@ -1617,9 +1592,10 @@ def _cmd_store(args: argparse.Namespace) -> str:
 
     store = default_store(args.root or args.store)
     if store is None:
-        raise SystemExit(
-            "repro store: no store directory given (pass one as an "
-            "argument, via --store, or set $REPRO_STORE)"
+        _input_error(
+            args,
+            "no store directory given (pass one as an argument, via "
+            "--store, or set $REPRO_STORE)",
         )
     if args.store_command == "gc":
         report = store.gc()
@@ -1662,7 +1638,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             _faults.FaultPlan.parse(args.faults)
         except ValueError as exc:
-            raise SystemExit(f"repro --faults: {exc}") from exc
+            _input_error(args, f"--faults: {exc}")
         # exported (not just activated) so forked shard workers and the
         # serve daemon's executor threads all see the same plan
         import os as _os

@@ -544,8 +544,8 @@ def iter_function_records(
     ``evaluate`` receives one keyword argument per axis; each yielded
     record is the axis values plus the evaluation's outputs.  Axis
     values may be any iterable (materialised once), and records may
-    carry non-uniform fields — this is the legacy-faithful engine
-    behind the ``repro.analysis.sweeps`` compat shims.
+    carry non-uniform fields (:func:`function_sweep` is the columnar
+    form for uniform fields).
     """
     import itertools
 

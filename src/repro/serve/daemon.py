@@ -59,6 +59,7 @@ from repro import api, faults, obs
 from repro.dist.spec import canonical_json
 from repro.serve.protocol import (
     DEFAULT_CHUNK_ROWS,
+    check_frame_keys,
     chunk_frame,
     decode_frame,
     done_frame,
@@ -327,6 +328,7 @@ class ReproServer:
             hit = faults.check("serve.latency")
             if hit is not None:
                 await asyncio.sleep(hit.value or 0.0)
+            check_frame_keys(frame)
             if self._draining and op not in ("ping", "stats", "shutdown"):
                 await self._send(
                     writer,
@@ -529,21 +531,11 @@ class ReproServer:
             request = api.McRequest.from_dict(frame["request"])
         else:
             request = api.WorkloadRequest.from_dict(frame["request"])
-        method = frame.get("method", "batched")
         chunk_size = int(frame.get("chunk_size", self.mc_chunk_size))
         digest = api.request_digest(request)
         request_id = frame["id"]
 
-        # cavemc loop/batched use different stream layouts, so the store
-        # (which holds batched estimates) is bypassed for that combination
-        store_eligible = not (
-            op == "simulate" and request.kind == "cavemc" and method == "loop"
-        )
-        cached = (
-            store_eligible
-            and self.store is not None
-            and self.store.contains(digest)
-        )
+        cached = self.store is not None and self.store.contains(digest)
         if digest in self._inflight and not cached:
             self.counters["coalesced"] += 1
             result = await asyncio.shield(self._inflight[digest])
@@ -557,9 +549,7 @@ class ReproServer:
             # request's await must not kill the shared evaluation that
             # coalesced followers (and the store commit) depend on
             asyncio.ensure_future(
-                self._compute_scalar(
-                    op, request, method, chunk_size, digest, cached, future
-                )
+                self._compute_scalar(op, request, chunk_size, digest, cached, future)
             )
             result = await asyncio.shield(future)
         await self._send(
@@ -567,7 +557,7 @@ class ReproServer:
         )
 
     async def _compute_scalar(
-        self, op, request, method, chunk_size, digest, cached, future
+        self, op, request, chunk_size, digest, cached, future
     ) -> None:
         loop = asyncio.get_running_loop()
         try:
@@ -577,7 +567,6 @@ class ReproServer:
                     lambda: api.mc_result_to_dict(
                         api.simulate(
                             request,
-                            method=method,
                             chunk_size=chunk_size,
                             store=self.store,
                         )
@@ -588,7 +577,6 @@ class ReproServer:
                     self._executor,
                     lambda: api.memsim(
                         request,
-                        method=method,
                         chunk_size=chunk_size,
                         store=self.store,
                     ).to_dict(),

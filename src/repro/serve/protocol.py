@@ -11,9 +11,8 @@ Request frame::
 
     {"id": 1, "op": "evaluate", "request": <canonical api payload>,
      "jobs": 4}                       # optional execution knobs
-    {"id": 2, "op": "simulate", "request": ..., "method": "batched",
-     "chunk_size": 65536}
-    {"id": 3, "op": "memsim", "request": ..., "method": "batched"}
+    {"id": 2, "op": "simulate", "request": ..., "chunk_size": 65536}
+    {"id": 3, "op": "memsim", "request": ...}
     {"id": 4, "op": "ping"}
     {"id": 5, "op": "stats"}
     {"id": 6, "op": "shutdown"}
@@ -34,8 +33,8 @@ for retry decisions: ``busy`` (admission queue full — honour
 ``retry_after`` seconds before retrying), ``deadline`` (the request
 exceeded the daemon's per-request deadline), ``draining`` (the daemon
 is shutting down gracefully and refuses new work).  Absent ``kind``
-means a plain request failure (bad payload, engine error) that a
-retry would not fix.
+means a plain request failure (bad payload, unknown frame key, engine
+error) that a retry would not fix.
 
 Sweep results stream chunk-by-chunk (``chunk_rows`` rows per frame) so
 a client can start consuming a large grid before evaluation of later
@@ -54,6 +53,16 @@ PROTOCOL_VERSION = 1
 #: Operations the daemon dispatches.
 OPS = ("evaluate", "simulate", "memsim", "ping", "stats", "shutdown")
 
+#: Execution knobs each op accepts next to the envelope keys.
+KNOBS = {
+    "evaluate": ("jobs",),
+    "simulate": ("chunk_size",),
+    "memsim": ("chunk_size",),
+}
+
+#: Keys every request frame may carry.
+ENVELOPE = ("v", "id", "op", "request")
+
 #: Default number of sweep record rows per streamed chunk frame.
 DEFAULT_CHUNK_ROWS = 256
 
@@ -69,6 +78,20 @@ def decode_frame(line: bytes | str) -> dict:
     if not isinstance(frame, dict):
         raise ValueError("protocol frame must be a JSON object")
     return frame
+
+
+def check_frame_keys(frame: dict) -> None:
+    """Reject keys the frame's op does not define.
+
+    A knob the daemon would silently ignore could change what the
+    caller believes it asked for, so it fails the request instead.
+    """
+    allowed = set(ENVELOPE) | set(KNOBS.get(frame.get("op"), ()))
+    unknown = sorted(set(frame) - allowed)
+    if unknown:
+        raise ValueError(
+            f"unknown frame key(s) for op {frame.get('op')!r}: {', '.join(unknown)}"
+        )
 
 
 def request_frame(op: str, request_id: int, payload: dict | None = None, **knobs):

@@ -9,9 +9,11 @@ the chunking and reproducibility contract.
 
 :mod:`repro.sim.readout` extends the same engine pattern to the
 deterministic sneak-path solvers: vectorized Laplacian stamping and
-factorized block-RHS solves behind the ``method="batched"`` paths of
+factorized block-RHS solves behind
 :class:`repro.crossbar.readout.ReadoutModel` and
-:class:`repro.crossbar.readout_distributed.DistributedReadout`.
+:class:`repro.crossbar.readout_distributed.DistributedReadout`.  The
+scalar per-trial and per-cell references these engines replaced are
+test oracles in ``tests/oracles/``, outside the package.
 """
 
 from repro.sim.accumulators import MomentSet, StreamingMoments

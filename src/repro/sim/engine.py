@@ -1,8 +1,8 @@
 """Batched Monte-Carlo engine: every trial lives on a leading array axis.
 
-The legacy simulators (:func:`repro.crossbar.montecarlo.simulate_cave_yield`
-with ``method="loop"``, and the ``method="loop"`` paths of
-:mod:`repro.decoder.stochastic`) evaluate one trial per Python-loop
+The legacy simulators (the seed cave-yield loop and the per-trial
+stochastic-decoder baselines, kept as test oracles in
+``tests/oracles/montecarlo.py``) evaluate one trial per Python-loop
 iteration.  This module evaluates *all* trials of a chunk in single
 NumPy calls on a leading ``(trials, ...)`` axis, which is 20-50x faster
 and scales to millions of samples with bounded memory:
@@ -289,8 +289,8 @@ class CaveYieldKernel(TrialKernel):
 
     #: Draw layouts.  ``"trial"`` draws VT noise as ``(trials, N, M)``
     #: — the batch-of-1 form consumes the stream exactly like the seed
-    #: per-trial implementation, so the scalar wrappers and the
-    #: ``method="loop"`` path use it.  ``"region"`` draws ``(M, trials,
+    #: per-trial implementation, so the scalar wrappers and the seed
+    #: loop oracle use it.  ``"region"`` draws ``(M, trials,
     #: N)`` so the all-regions reduction runs as a few full-width
     #: vectorised ANDs instead of NumPy's slow length-M inner reduce;
     #: it is ~1.3x faster and is the engine default.  The two layouts

@@ -9,7 +9,7 @@ from repro.analysis.report import (
     paper_vs_measured,
     render_table,
 )
-from repro.analysis.sweeps import grid_sweep, spec_with, sweep
+from repro.analysis.sweeps import spec_with
 from repro.crossbar.spec import CrossbarSpec
 
 
@@ -42,21 +42,6 @@ class TestRenderTable:
     def test_paper_vs_measured(self):
         out = paper_vs_measured([("yield", "42%", "40%")])
         assert "claim" in out and "42%" in out and "40%" in out
-
-
-class TestSweep:
-    def test_one_dimensional(self):
-        records = sweep("x", [1, 2, 3], lambda v: {"square": v * v})
-        assert records == [
-            {"x": 1, "square": 1},
-            {"x": 2, "square": 4},
-            {"x": 3, "square": 9},
-        ]
-
-    def test_grid(self):
-        records = grid_sweep({"a": [1, 2], "b": [10, 20]}, lambda a, b: {"sum": a + b})
-        assert len(records) == 4
-        assert {"a": 2, "b": 10, "sum": 12} in records
 
 
 class TestSpecWith:

@@ -115,7 +115,7 @@ class TestDigests:
         assert api.request_digest(base) != api.request_digest(reseeded)
 
     def test_digest_ignores_execution_knobs(self):
-        # method/chunk_size/jobs are call arguments, not request fields,
+        # chunk_size/jobs are call arguments, not request fields,
         # so they cannot perturb the digest by construction; spot-check
         # that the canonical payload has no such keys.
         payload = small_sweep_request().to_dict()
@@ -181,22 +181,38 @@ class TestFacadeWithStore:
         assert store.stats()["entries"] == 1
 
     def test_simulate_store_shared_across_methods_marginmc(self, tmp_path):
+        from oracles.margins import simulate_margin_yield
+
+        from repro.codes.registry import make_code
+
         store = ResultStore(tmp_path / "store")
         req = api.McRequest(kind="marginmc", family="TC", total_length=6, samples=32)
-        cold = api.simulate(req, method="batched", store=store)
-        warm = api.simulate(req, method="loop", store=store)
-        assert warm == cold == api.simulate(req)  # loop == batched == direct
+        cold = api.simulate(req, store=store)
+        warm = api.simulate(req, chunk_size=7, store=store)
+        scalar = simulate_margin_yield(
+            req.spec,
+            make_code(req.family, req.n, req.total_length),
+            samples=req.samples,
+            seed=req.seed,
+            k_sigma=req.k_sigma,
+            stream_block=req.stream_block,
+        )
+        # the one store entry is what the engine and the oracle compute
+        assert warm == cold == api.simulate(req) == scalar
+        assert store.stats()["entries"] == 1
 
-    def test_simulate_cavemc_loop_bypasses_store(self, tmp_path):
+    def test_simulate_cavemc_uses_store(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         req = api.McRequest(kind="cavemc", family="TC", total_length=6, samples=32)
-        direct_loop = api.simulate(req, method="loop")
-        assert api.simulate(req, method="loop", store=store) == direct_loop
-        assert store.stats()["entries"] == 0  # nothing was committed
-        api.simulate(req, method="batched", store=store)
+        direct = json.dumps(api.mc_result_to_dict(api.simulate(req)))
+        cold = api.simulate(req, store=store)
         assert store.stats()["entries"] == 1
-        # a later loop call must not be served the batched estimate
-        assert api.simulate(req, method="loop", store=store) == direct_loop
+        hits = store.stats()["hits"]
+        warm = api.simulate(req, store=store)
+        assert store.stats()["hits"] == hits + 1
+        # the digest fixes the result: direct, cold and warm are one answer
+        assert json.dumps(api.mc_result_to_dict(cold)) == direct
+        assert json.dumps(api.mc_result_to_dict(warm)) == direct
 
     def test_memsim_store_round_trip_identical(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -230,13 +246,3 @@ class TestOverrideValidation:
         point = DesignPoint("TC", 6, overrides=(("bogus_knob", 1.0),))
         with pytest.raises(ValueError, match="unknown spec override"):
             point.resolved_spec()
-
-
-class TestDeprecatedShims:
-    def test_legacy_sweep_warns(self):
-        from repro.analysis.sweeps import grid_sweep, sweep
-
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            sweep("x", [1, 2], lambda x: {"y": x * 2})
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            grid_sweep({"x": [1]}, lambda x: {"y": x})

@@ -466,10 +466,13 @@ class TestStoreChaos:
         report = json.loads(capsys.readouterr().out)
         assert report["live"] == 0 and report["pruned"] == 1
 
-    def test_cli_store_requires_a_root(self, monkeypatch):
+    def test_cli_store_requires_a_root(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_STORE", raising=False)
-        with pytest.raises(SystemExit, match="no store directory"):
+        with pytest.raises(SystemExit) as excinfo:
             main(["store", "gc"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro store: error: no store directory given")
 
 
 class TestClientLifecycle:

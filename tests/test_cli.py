@@ -114,7 +114,14 @@ class TestSubcommands:
         assert "mc yield" in out and "mc stderr" in out
 
     def test_margins_loop_batched_identical(self, capsys):
-        args = (
+        """Every figure of ``margins`` equals the scalar per-pair oracle."""
+        from oracles import margins as oracle
+
+        from repro.codes.registry import make_code
+        from repro.crossbar.spec import CrossbarSpec
+
+        _, out = run_cli(
+            capsys,
             "margins",
             "--family",
             "GC,BGC",
@@ -127,13 +134,26 @@ class TestSubcommands:
             "--format",
             "json",
         )
-        _, batched = run_cli(capsys, *args, "--method", "batched")
-        _, loop = run_cli(capsys, *args, "--method", "loop")
-        lhs, rhs = json.loads(batched), json.loads(loop)
-        lhs.pop("method"), rhs.pop("method")
-        # the timing section reports wall clock, not results
-        lhs.pop("timing"), rhs.pop("timing")
-        assert lhs == rhs
+        spec = CrossbarSpec()
+        n_wires = spec.nanowires_per_half_cave
+        for entry in json.loads(out)["families"]:
+            code = make_code(entry["family"], 2, 8)
+            report = oracle.margin_report(code, n_wires, sigma_t=spec.sigma_t)
+            mc = oracle.simulate_margin_yield(spec, code, samples=150, seed=3)
+            assert entry == {
+                "family": entry["family"],
+                "select_margin_v": report.select_margin_v,
+                "block_margin_v": report.block_margin_v,
+                "worst_margin_v": report.worst_margin_v,
+                "passes": report.passes,
+                "margin_yield": oracle.margin_yield(
+                    code, n_wires, sigma_t=spec.sigma_t
+                ),
+                "mc_margin_yield": mc.mean_margin_yield,
+                "mc_stderr": mc.stderr,
+                "mc_select_margin_v": mc.mean_select_margin,
+                "mc_block_margin_v": mc.mean_block_margin,
+            }
 
     def test_readout(self, capsys):
         code, out = run_cli(capsys, "readout", "--scheme", "float")
@@ -233,6 +253,36 @@ class TestInvalidInput:
                 ["--nanowires", "0", "info"],
                 "repro info: error: need at least one nanowire per half cave",
             ),
+            (
+                ["readout", "--sizes", "0"],
+                "repro readout: error: --sizes expects positive bank sizes, got '0'",
+            ),
+            (
+                ["readout", "--sizes", "4,x"],
+                "repro readout: error: --sizes has a malformed value list: '4,x'",
+            ),
+            (
+                ["readout", "--sizes", ","],
+                "repro readout: error: --sizes expects at least one bank size",
+            ),
+            (
+                ["sweep", "--axis", "foo"],
+                "repro sweep: error: --axis expects NAME=V1,V2,..., got 'foo'",
+            ),
+            (
+                ["sweep", "--axis", "sigma_t=0.03,"],
+                "repro sweep: error: --axis has a malformed value list: "
+                "'sigma_t=0.03,'",
+            ),
+            (
+                ["sweep", "--families", "TC", "--lengths", "5"],
+                "repro sweep: error: the requested grid has no admissible "
+                "design points",
+            ),
+            (
+                ["margins", "--family", ","],
+                "repro margins: error: --family expects at least one family name",
+            ),
         ],
     )
     def test_one_line_error_exit_2(self, capsys, argv, message):
@@ -279,20 +329,14 @@ class TestSharedOptions:
         return err[err.index("error:"):].strip()
 
     def test_help_text_identical_across_subcommands(self, capsys):
-        from repro.cli import (
-            CHUNK_HELP,
-            FORMAT_HELP,
-            METHOD_HELP,
-            SEED_HELP,
-            VIA_HELP,
-        )
+        from repro.cli import CHUNK_HELP, FORMAT_HELP, SEED_HELP, VIA_HELP
 
         helps = {
             cmd: self._help(capsys, cmd)
             for cmd in ("sweep", "simulate", "memsim", "margins", "readout")
         }
-        for cmd in ("simulate", "memsim", "margins", "readout"):
-            assert " ".join(METHOD_HELP.split()) in helps[cmd], cmd
+        for cmd in helps:
+            assert "--method" not in helps[cmd], cmd
         for cmd in ("sweep", "simulate", "memsim", "margins"):
             assert " ".join(SEED_HELP.split()) in helps[cmd], cmd
             assert " ".join(FORMAT_HELP.split()) in helps[cmd], cmd
@@ -301,12 +345,19 @@ class TestSharedOptions:
             assert " ".join(CHUNK_HELP.split()) in helps[cmd], cmd
 
     def test_method_error_message_identical(self, capsys):
+        # the option is gone: every subcommand that had it refuses it alike
+        argvs = {
+            "simulate": ["simulate", "BGC", "-M", "8"],
+            "memsim": ["memsim", "BGC", "-M", "8"],
+            "margins": ["margins"],
+            "readout": ["readout"],
+        }
         errors = {
-            cmd: self._error(capsys, [cmd, "--method", "bogus"])
-            for cmd in ("simulate", "memsim", "margins", "readout")
+            cmd: self._error(capsys, [*argv, "--method", "loop"])
+            for cmd, argv in argvs.items()
         }
         assert len(set(errors.values())) == 1, errors
-        assert "invalid choice: 'bogus'" in errors["simulate"]
+        assert "unrecognized arguments: --method loop" in errors["simulate"]
 
     def test_format_error_message_identical(self, capsys):
         errors = {

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import montecarlo as oracle
 from repro.codes import make_code
 from repro.crossbar.montecarlo import (
     sample_electrical_mask,
@@ -69,17 +70,15 @@ class TestSimulateCaveYield:
             simulate_cave_yield(spec, make_code("TC", 2, 8), samples=0)
 
     def test_single_sample_has_zero_stderr(self, spec):
-        for method in ("batched", "loop"):
-            mc = simulate_cave_yield(
-                spec, make_code("TC", 2, 8), samples=1, seed=2, method=method
-            )
+        for simulate in (simulate_cave_yield, oracle.simulate_cave_yield):
+            mc = simulate(spec, make_code("TC", 2, 8), samples=1, seed=2)
             assert mc.std_cave_yield == 0.0
             assert mc.stderr == 0.0
 
     def test_methods_agree_statistically(self, spec):
         code = make_code("BGC", 2, 8)
         batched = simulate_cave_yield(spec, code, samples=2000, seed=3)
-        loop = simulate_cave_yield(spec, code, samples=500, seed=3, method="loop")
+        loop = oracle.simulate_cave_yield(spec, code, samples=500, seed=3)
         assert batched.mean_cave_yield == pytest.approx(
             loop.mean_cave_yield, abs=4 * (batched.stderr + loop.stderr)
         )

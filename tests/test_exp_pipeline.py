@@ -332,25 +332,24 @@ class TestGoldenEquivalence:
             assert point.cost == score(spec, point.design.space)
 
     def test_function_sweep_matches_legacy_records(self):
-        from repro.analysis.sweeps import grid_sweep
+        from repro.exp.pipeline import iter_function_records
 
         axes = {"a": [1, 2], "b": [10, 20]}
-        records = grid_sweep(axes, lambda a, b: {"sum": a + b})
+        records = list(iter_function_records(axes, lambda a, b: {"sum": a + b}))
         table = function_sweep(axes, lambda a, b: {"sum": a + b})
         assert records == table.to_records()
-
-    def test_shims_keep_legacy_edge_cases(self):
-        from repro.analysis.sweeps import grid_sweep, sweep
-
         # iterator-valued axes are materialised, not consumed twice
-        records = grid_sweep({"x": (i for i in range(3))}, lambda x: {"y": 2 * x})
-        assert records == [{"x": 0, "y": 0}, {"x": 1, "y": 2}, {"x": 2, "y": 4}]
+        lazy = iter_function_records(
+            {"x": (i for i in range(3))}, lambda x: {"y": 2 * x}
+        )
+        assert list(lazy) == [{"x": 0, "y": 0}, {"x": 1, "y": 2}, {"x": 2, "y": 4}]
         # per-value result fields (ragged records) stay allowed
-        ragged = sweep("x", [1, 2], lambda v: {"big": True} if v > 1 else {})
-        assert ragged == [{"x": 1}, {"x": 2, "big": True}]
-        # empty axes yield the historical empty list
-        assert sweep("x", [], lambda v: {"y": v}) == []
-        assert grid_sweep({"x": []}, lambda x: {"y": x}) == []
+        ragged = iter_function_records(
+            {"x": [1, 2]}, lambda x: {"big": True} if x > 1 else {}
+        )
+        assert list(ragged) == [{"x": 1}, {"x": 2, "big": True}]
+        # empty axes yield no records
+        assert list(iter_function_records({"x": []}, lambda x: {"y": x})) == []
 
 
 class TestSweepCLI:
@@ -461,15 +460,20 @@ class TestSweepCLI:
         )
 
     def test_bad_axis_spec_exits(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--axis", "sigma_t"])
-        with pytest.raises(SystemExit, match="unknown spec override"):
-            main(["sweep", "--axis", "bogus=1,2"])
-        with pytest.raises(SystemExit, match="malformed value list"):
-            main(["sweep", "--axis", "sigma_t=0.03,"])
-        with pytest.raises(SystemExit, match="unknown code family"):
-            main(["sweep", "--families", "TC,XYZ", "--lengths", "6"])
+        for argv, message in (
+            (["--axis", "sigma_t"], "--axis expects NAME=V1,V2,..."),
+            (["--axis", "bogus=1,2"], "unknown spec override"),
+            (["--axis", "sigma_t=0.03,"], "malformed value list"),
+            (["--families", "TC,XYZ", "--lengths", "6"], "unknown code family"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["sweep", *argv])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("repro sweep: error: ") and message in err
 
-    def test_empty_grid_exits(self):
-        with pytest.raises(SystemExit):
+    def test_empty_grid_exits(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--families", "TC", "--lengths", "5"])
+        assert excinfo.value.code == 2
+        assert "no admissible design points" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import montecarlo as oracle
 from repro.fabrication.mspt import SpacerRecipe
 from repro.fabrication.variation import (
     ProcessVariation,
@@ -87,6 +88,16 @@ class TestEstimatePositionSigma:
         )
         analytic = np.array([variation.position_sigma_nm(i) for i in range(15)])
         assert np.allclose(estimated, analytic, rtol=0.12)
+
+    def test_agrees_with_per_geometry_oracle(self, recipe, variation):
+        """Different stream layouts, same distribution: close, not equal."""
+        batched = estimate_position_sigma(
+            recipe, variation, 12, 2000, np.random.default_rng(5)
+        )
+        scalar = oracle.estimate_position_sigma(
+            recipe, variation, 12, 2000, np.random.default_rng(5)
+        )
+        assert np.allclose(batched, scalar, rtol=0.1)
 
     def test_requires_samples(self, recipe, variation, rng):
         with pytest.raises(VariationError):

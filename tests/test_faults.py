@@ -181,8 +181,12 @@ class TestEnvInheritance:
         capsys.readouterr()
         assert os.environ[faults.ENV_VAR] == "dist.stall=@1"
 
-    def test_cli_rejects_bad_faults_spec(self):
+    def test_cli_rejects_bad_faults_spec(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="unknown fault site"):
+        with pytest.raises(SystemExit) as excinfo:
             main(["--faults", "dist.explode=@1", "info"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro info: error: --faults: unknown fault site")
+        assert err.count("\n") == 1

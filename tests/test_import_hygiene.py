@@ -4,8 +4,11 @@ SciPy is imported only where it is used: ``scipy.special`` by the
 Gaussian window ``erf`` (every yield evaluation) and ``scipy.linalg`` /
 ``scipy.sparse`` by the electrical readout solvers.  ``import repro``
 loads no subpackage at all; its re-exports resolve on first access.
-Each check runs in a new interpreter, because this test process has
-long since imported everything.
+The scalar reference implementations live in ``tests/oracles/`` and
+no CLI path may reach them, nor may the CLI still offer a ``--method``
+switch between them and the engines.  Each check runs in a new
+interpreter, because this test process has long since imported
+everything.
 """
 
 import json
@@ -24,8 +27,14 @@ SRC = Path(repro.__file__).resolve().parents[1]
 ENV = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
 ENV["PYTHONPATH"] = str(SRC)
 
+#: The same, with the test oracles importable as the ``oracles`` package.
+ORACLE_ENV = {
+    **ENV,
+    "PYTHONPATH": os.pathsep.join([str(SRC), str(Path(__file__).resolve().parent)]),
+}
 
-def _loaded_after(code: str) -> list[str]:
+
+def _loaded_after(code: str, env: dict = ENV) -> list[str]:
     """Names in ``sys.modules`` after running ``code`` in a fresh process."""
     probe = (
         f"{code}\n"
@@ -34,7 +43,7 @@ def _loaded_after(code: str) -> list[str]:
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
-        env=ENV,
+        env=env,
         capture_output=True,
         text=True,
         timeout=120,
@@ -94,6 +103,42 @@ def test_shard_plan_and_merge_load_no_scipy(tmp_path):
         timeout=120,
     )
     assert _scipy(_cli_loads(["shard", "merge", job])) == []
+
+
+def test_cli_loads_no_oracle():
+    """Even with ``oracles`` importable, no CLI path imports it."""
+    loaded = _loaded_after(
+        "import contextlib, io, repro.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    repro.cli.main(['simulate', 'BGC', '-M', '8', '--samples', '10'])\n"
+        "    repro.cli.main(['margins', '--family', 'TC', '-M', '6'])\n"
+        "    repro.cli.main(['readout', '--sizes', '4'])\n",
+        env=ORACLE_ENV,
+    )
+    assert "repro.cli" in loaded
+    assert [m for m in loaded if m == "oracles" or m.startswith("oracles.")] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "BGC", "-M", "8"],
+        ["memsim", "BGC", "-M", "8"],
+        ["margins"],
+        ["readout"],
+    ],
+)
+def test_method_flag_rejected(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv, "--method", "batched"],
+        env=ENV,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unrecognized arguments: --method batched" in proc.stderr
 
 
 def test_bare_import_loads_no_subpackage():

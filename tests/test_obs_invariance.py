@@ -12,6 +12,7 @@ results, down to serialised bytes where a byte surface exists.
 import numpy as np
 import pytest
 
+from oracles.workload import run_fleet
 from repro import obs
 from repro.cli import main
 from repro.codes.registry import make_code
@@ -68,16 +69,18 @@ class TestSweepInvariance:
 
 
 class TestWorkloadInvariance:
-    @pytest.mark.parametrize("method", ["batched", "loop"])
-    def test_fleet_result_identical(self, spec, method):
+    @pytest.mark.parametrize("reference", ["batched", "loop"])
+    def test_fleet_result_identical(self, spec, reference):
+        """Instrumented run == uninstrumented engine == scalar oracle."""
         code = make_code("BGC", 2, 8)
         fleet, trace = prepare_workload(
             spec, code, accesses=300, instances=2, seed=5
         )
-        kwargs = dict(
-            method=method, seed=5, collect_reads=True, collect_state=True
-        )
-        plain = fleet.run(trace, **kwargs)
+        kwargs = dict(seed=5, collect_reads=True, collect_state=True)
+        if reference == "batched":
+            plain = fleet.run(trace, **kwargs)
+        else:
+            plain = run_fleet(fleet, trace, **kwargs)
         with obs.scoped():
             instrumented = fleet.run(trace, **kwargs)
         assert fleet_results_equal(instrumented, plain)
@@ -92,7 +95,7 @@ class TestWorkloadInvariance:
         readout = ElectricalReadout(
             model=ReadoutModel(r_on=1e4, r_off=1e7, v_read=1.0, scheme="float")
         )
-        kwargs = dict(method="batched", seed=7, readout=readout)
+        kwargs = dict(seed=7, readout=readout)
         plain = fleet.run(trace, **kwargs)
         with obs.scoped():
             instrumented = fleet.run(trace, **kwargs)

@@ -1,5 +1,7 @@
 """Integration tests for the repro serve daemon, protocol and client."""
 
+import json
+import socket
 import threading
 import uuid
 
@@ -9,6 +11,7 @@ from repro import api
 from repro.exp.designpoint import DesignPoint
 from repro.serve import ReproServer, ServeClient, ServeError
 from repro.serve.protocol import (
+    check_frame_keys,
     decode_frame,
     encode_frame,
     iter_record_chunks,
@@ -26,6 +29,28 @@ def socket_path(tmp_path):
     return str(path)
 
 
+def raw_roundtrip(socket_path, frames):
+    """Send ``frames`` in one write; return the terminal frame of each id."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(120)
+        sock.connect(socket_path)
+        sock.sendall(b"".join(encode_frame(f) for f in frames))
+        answers = {}
+        with sock.makefile("rb") as stream:
+            while len(answers) < len(frames):
+                frame = decode_frame(stream.readline())
+                if frame["frame"] != "chunk":
+                    answers[frame["id"]] = frame
+    return answers
+
+
+def mc_bytes(result) -> str:
+    """Canonical text of one MC result dict (byte-for-byte comparison)."""
+    if not isinstance(result, dict):
+        result = api.mc_result_to_dict(result)
+    return json.dumps(result, sort_keys=True)
+
+
 def sweep_request(*families, length=6):
     points = tuple(DesignPoint.make(f, length) for f in families or ("TC", "GC"))
     return api.SweepRequest(points=points, metrics=("yield", "area"))
@@ -37,8 +62,17 @@ class TestProtocol:
         assert decode_frame(encode_frame(frame)) == frame
 
     def test_none_knobs_dropped(self):
-        frame = request_frame("simulate", 1, {}, method="loop", chunk_size=None)
-        assert "chunk_size" not in frame and frame["method"] == "loop"
+        frame = request_frame("simulate", 1, {}, chunk_size=None)
+        assert "chunk_size" not in frame
+        assert request_frame("simulate", 1, {}, chunk_size=8)["chunk_size"] == 8
+
+    def test_unknown_frame_keys_rejected(self):
+        check_frame_keys(request_frame("simulate", 1, {}, chunk_size=8))
+        check_frame_keys(request_frame("evaluate", 1, {}, jobs=2))
+        with pytest.raises(ValueError, match="unknown frame key.*method"):
+            check_frame_keys(request_frame("simulate", 1, {}, method="loop"))
+        with pytest.raises(ValueError, match="jobs"):
+            check_frame_keys(request_frame("memsim", 1, {}, jobs=2))
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError, match="unknown op"):
@@ -109,15 +143,42 @@ class TestDaemon:
                 assert client.memsim(wl) == api.memsim(wl)
 
     def test_cavemc_loop_not_reported_cached(self, socket_path, tmp_path):
+        """A frame still carrying ``method`` fails plainly, never answers."""
         req = api.McRequest(kind="cavemc", family="TC", total_length=6, samples=32)
         store = ResultStore(tmp_path / "store")
-        with ReproServer(socket_path, store=store).running():
-            with ServeClient(socket_path) as client:
-                batched = client.simulate(req)  # commits the batched estimate
-                loop = client.simulate(req, method="loop")
-                assert client.last_cached is False  # loop bypasses the store
-        assert loop == api.simulate(req, method="loop")
-        assert batched == api.simulate(req)
+        server = ReproServer(socket_path, store=store)
+        with server.running():
+            with ServeClient(socket_path, retries=3, backoff_s=0.0) as client:
+                client.simulate(req)  # commits the estimate
+                requests = server.counters["requests"]
+                with pytest.raises(ServeError, match="method") as excinfo:
+                    client._roundtrip("simulate", req.to_dict(), method="loop")
+                assert excinfo.value.kind is None  # plain, non-retryable
+                assert server.counters["requests"] == requests + 1  # no retry
+                assert client.ping()  # the connection survives the error
+        assert server.counters["errors"] == 1
+
+    def test_concurrent_cavemc_frames_match_direct(self, socket_path, tmp_path):
+        """Direct call, coalesced daemon answers and a warm hit: one answer."""
+        req = api.McRequest(kind="cavemc", family="BGC", total_length=8, samples=20000)
+        direct = mc_bytes(api.simulate(req))
+        server = ReproServer(socket_path, store=ResultStore(tmp_path / "store"))
+        frame = dict(op="simulate", request=req.to_dict())
+        with server.running():
+            # both frames arrive in one write: the second coalesces onto
+            # the first's in-flight computation
+            cold = raw_roundtrip(
+                socket_path, [dict(id=1, **frame), dict(id=2, **frame)]
+            )
+            warm = raw_roundtrip(socket_path, [dict(id=3, **frame)])
+        assert server.counters["coalesced"] == 1
+        assert [cold[1]["cached"], cold[2]["cached"], warm[3]["cached"]] == [
+            False,
+            False,
+            True,
+        ]
+        for answer in (cold[1], cold[2], warm[3]):
+            assert mc_bytes(answer["result"]) == direct
 
     def test_error_frame_for_bad_request(self, socket_path):
         with ReproServer(socket_path).running():

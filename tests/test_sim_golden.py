@@ -3,13 +3,14 @@
 These pin the exact numbers produced by canonical seeded runs so a
 future refactor cannot silently drift the figures:
 
-* ``method="loop"`` goldens are bit-compatible with the seed (pre-
-  engine) implementation of ``simulate_cave_yield`` — they were
-  computed with the original per-trial loop and must keep matching;
-* ``method="batched"`` goldens pin the engine's spawned-stream layout
-  (seed + stream block), which the reproducibility contract freezes;
+* loop goldens are bit-compatible with the seed (pre-engine)
+  implementation of ``simulate_cave_yield`` — they were computed with
+  the original per-trial loop, now the test oracle
+  ``oracles.montecarlo.simulate_cave_yield``, and must keep matching;
+* batched goldens pin the engine's spawned-stream layout (seed +
+  stream block), which the reproducibility contract freezes;
 * the stochastic-baseline goldens pin the shared-stream draws common
-  to both methods.
+  to the engine and the per-trial oracles.
 
 Tolerance is ``rel=1e-12``: tight enough to catch any change in draws
 or masking, loose enough to ignore float summation-order noise.
@@ -18,6 +19,7 @@ or masking, loose enough to ignore float summation-order noise.
 import numpy as np
 import pytest
 
+from oracles import montecarlo as oracle
 from repro.codes import make_code
 from repro.crossbar.montecarlo import simulate_cave_yield
 from repro.crossbar.spec import CrossbarSpec
@@ -78,12 +80,11 @@ class TestCaveYieldGoldens:
     @pytest.mark.parametrize("point", sorted(LOOP_GOLDENS))
     def test_loop_method_pinned(self, point):
         family, length, samples, seed = point
-        mc = simulate_cave_yield(
+        mc = oracle.simulate_cave_yield(
             CrossbarSpec(),
             make_code(family, 2, length),
             samples=samples,
             seed=seed,
-            method="loop",
         )
         _check(mc, LOOP_GOLDENS[point])
 
@@ -113,16 +114,12 @@ class TestCaveYieldGoldens:
 class TestStochasticBaselineGoldens:
     def test_random_codes_pinned(self):
         batched = simulate_random_codes(20, 64, 4000, np.random.default_rng(3))
-        loop = simulate_random_codes(
-            20, 64, 4000, np.random.default_rng(3), method="loop"
-        )
+        loop = oracle.simulate_random_codes(20, 64, 4000, np.random.default_rng(3))
         assert batched == pytest.approx(0.7391875, rel=GOLDEN_RTOL)
         assert loop == pytest.approx(0.7391875, rel=1e-9)
 
     def test_random_contacts_pinned(self):
         batched = simulate_random_contacts(10, 8, 4000, np.random.default_rng(3))
-        loop = simulate_random_contacts(
-            10, 8, 4000, np.random.default_rng(3), method="loop"
-        )
+        loop = oracle.simulate_random_contacts(10, 8, 4000, np.random.default_rng(3))
         assert batched == pytest.approx(0.963425, rel=GOLDEN_RTOL)
         assert loop == pytest.approx(0.963425, rel=1e-9)

@@ -3,8 +3,9 @@
 The contract under test (see ``repro/workload/memory_batch.py``):
 
 * the batched vectorised executor is **byte-identical** to the scalar
-  ``method="loop"`` reference (CrossbarMemory / SecdedCode per access)
-  — read values, final stored state, and every per-instance metric;
+  oracle ``oracles.workload.run_fleet`` (CrossbarMemory / SecdedCode
+  per access) — read values, final stored state, and every
+  per-instance metric;
 * results are invariant to ``chunk_size``;
 * trace generators are pure functions of their arguments.
 """
@@ -12,6 +13,7 @@ The contract under test (see ``repro/workload/memory_batch.py``):
 import numpy as np
 import pytest
 
+from oracles.workload import run_fleet
 from repro.codes import make_code
 from repro.crossbar.defects import DefectMap
 from repro.crossbar.ecc import SecdedCode, decode_blocks, encode_blocks
@@ -186,7 +188,7 @@ class TestFleetSampling:
         assert np.array_equal(fleet.payload_capacity_bits, blocks * ecc.data_bits)
 
 
-# -- batched vs loop equivalence -----------------------------------------------
+# -- batched vs scalar-oracle equivalence ---------------------------------------
 
 
 class TestEquivalence:
@@ -197,12 +199,11 @@ class TestEquivalence:
         trace = make_trace(kind, 3000, space, seed=3)
         batched = fleet.run(
             trace,
-            method="batched",
             chunk_size=251,
             collect_reads=True,
             collect_state=True,
         )
-        loop = fleet.run(trace, method="loop", collect_reads=True, collect_state=True)
+        loop = run_fleet(fleet, trace, collect_reads=True, collect_state=True)
         assert_runs_equal(batched, loop)
 
     def test_ecc_mode_byte_identical(self):
@@ -212,16 +213,15 @@ class TestEquivalence:
         for p in (0.0, 0.03):
             batched = fleet.run(
                 trace,
-                method="batched",
                 chunk_size=177,
                 seed=9,
                 write_error_rate=p,
                 collect_reads=True,
                 collect_state=True,
             )
-            loop = fleet.run(
+            loop = run_fleet(
+                fleet,
                 trace,
-                method="loop",
                 seed=9,
                 write_error_rate=p,
                 collect_reads=True,
@@ -240,9 +240,9 @@ class TestEquivalence:
             collect_reads=True,
             collect_state=True,
         )
-        loop = fleet.run(
+        loop = run_fleet(
+            fleet,
             trace,
-            method="loop",
             seed=11,
             write_error_rate=0.05,
             collect_reads=True,
@@ -475,16 +475,22 @@ class TestMemsimCli:
             "--format",
             "json",
         )
-        _, batched = self.run_cli(capsys, *args, "--method", "batched")
-        _, loop = self.run_cli(capsys, *args, "--method", "loop")
         import json
 
-        lhs, rhs = json.loads(batched), json.loads(loop)
-        lhs.pop("accesses_per_second"), rhs.pop("accesses_per_second")
-        lhs.pop("method"), rhs.pop("method")
-        # the timing section reports wall clock, not results
-        lhs.pop("timing"), rhs.pop("timing")
-        assert lhs == rhs
+        from repro.workload import prepare_workload
+
+        _, out = self.run_cli(capsys, *args)
+        payload = json.loads(out)
+        fleet, trace = prepare_workload(SMALL_SPEC, CODE, accesses=1000, instances=2)
+        loop = run_fleet(fleet, trace)
+        assert payload["metrics"] == {
+            name: {
+                "mean": loop[name].mean,
+                "std": loop[name].std,
+                "stderr": loop[name].stderr,
+            }
+            for name in FLEET_METRICS
+        }
 
     def test_sweep_seed_changes_workload(self, capsys):
         base = (
