@@ -185,9 +185,10 @@ def test_sweep_pipeline_speedup(benchmark, emit, emit_json, spec):
 
     # correctness first: the pipeline must reproduce the seed loop exactly
     result = run_serial()
+    # taken before the parallel run, whose workers keep their own caches
+    stats = cache_stats()
     assert result.to_records() == _seed_point_loop(spec, grid)
     assert run_parallel() == result
-    stats = cache_stats()
 
     def run_all():
         return {
@@ -200,25 +201,27 @@ def test_sweep_pipeline_speedup(benchmark, emit, emit_json, spec):
     serial_speedup = times["baseline_s"] / times["serial_s"]
     parallel_speedup = times["baseline_s"] / times["parallel_s"]
     headline = max(serial_speedup, parallel_speedup)
+    # absolute cost next to the ratios: wall-clock microseconds per point
+    us_per_point = {
+        name: 1e6 * times[f"{name}_s"] / n_points
+        for name in ("baseline", "serial", "parallel")
+    }
 
     rows = [
-        ["seed per-point loop", f"{1000 * times['baseline_s']:.0f} ms", "1.0x"],
-        [
-            "pipeline (serial, cached)",
-            f"{1000 * times['serial_s']:.0f} ms",
-            f"{serial_speedup:.1f}x",
-        ],
-        [
-            f"pipeline (jobs={JOBS}, cached)",
-            f"{1000 * times['parallel_s']:.0f} ms",
-            f"{parallel_speedup:.1f}x",
-        ],
+        [label, f"{1000 * times[f'{name}_s']:.0f} ms",
+         f"{us_per_point[name]:.0f} us", speedup]
+        for label, name, speedup in (
+            ("seed per-point loop", "baseline", "1.0x"),
+            ("pipeline (serial, cached)", "serial", f"{serial_speedup:.1f}x"),
+            (f"pipeline (jobs={JOBS}, cached)", "parallel",
+             f"{parallel_speedup:.1f}x"),
+        )
     ]
     emit(
         "sweep_pipeline_speedup",
         f"Design-space pipeline vs pre-refactor loop "
         f"({n_points} points x {METRICS})\n"
-        + render_table(["evaluator", "wall clock", "speedup"], rows),
+        + render_table(["evaluator", "wall clock", "per point", "speedup"], rows),
     )
     emit_json(
         "sweep_pipeline",
@@ -230,6 +233,9 @@ def test_sweep_pipeline_speedup(benchmark, emit, emit_json, spec):
             "baseline_s": times["baseline_s"],
             "serial_s": times["serial_s"],
             "parallel_s": times["parallel_s"],
+            "baseline_us_per_point": us_per_point["baseline"],
+            "serial_us_per_point": us_per_point["serial"],
+            "parallel_us_per_point": us_per_point["parallel"],
             "serial_speedup": serial_speedup,
             "parallel_speedup": parallel_speedup,
             "headline_speedup": headline,

@@ -50,12 +50,23 @@ class CrossbarSpec:
     window_margin: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.raw_kilobytes <= 0:
-            raise ValueError("raw density must be positive")
+        # each test names the admitted range, so NaN, which fails every
+        # comparison, is rejected too: a NaN sigma_T would otherwise read
+        # as "never doped" and give yield 1
+        if not 0 < self.raw_kilobytes < math.inf:
+            raise ValueError(
+                f"raw density must be positive and finite, got {self.raw_kilobytes}"
+            )
         if self.nanowires_per_half_cave < 1:
             raise ValueError("need at least one nanowire per half cave")
-        if self.sigma_t <= 0:
-            raise ValueError("sigma_T must be positive")
+        if not 0 < self.sigma_t < math.inf:
+            raise ValueError(
+                f"sigma_T must be positive and finite, got {self.sigma_t}"
+            )
+        if not 0 < self.window_margin <= 1:
+            raise ValueError(
+                f"window_margin must be in (0, 1], got {self.window_margin}"
+            )
 
     @property
     def raw_bits(self) -> int:

@@ -12,6 +12,8 @@ Fig. 6 plots ``sqrt(Sigma) / sigma_T = sqrt(nu)`` over the half cave.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.codes.base import CodeSpace
@@ -41,8 +43,8 @@ def dose_count_matrix(steps: np.ndarray, rtol: float = DOSE_RTOL) -> np.ndarray:
 
 def variability_matrix(nu: np.ndarray, sigma_t: float = DEFAULT_SIGMA_T) -> np.ndarray:
     """Sigma = sigma_T^2 * nu: per-region VT variance [V^2]."""
-    if sigma_t <= 0:
-        raise ValueError(f"sigma_T must be positive, got {sigma_t}")
+    if not 0 < sigma_t < math.inf:
+        raise ValueError(f"sigma_T must be positive and finite, got {sigma_t}")
     return (sigma_t**2) * np.asarray(nu, dtype=float)
 
 

@@ -283,6 +283,40 @@ class TestInvalidInput:
                 ["margins", "--family", ","],
                 "repro margins: error: --family expects at least one family name",
             ),
+            (
+                ["--sigma-t", "nan", "info"],
+                "repro info: error: sigma_T must be positive and finite, got nan",
+            ),
+            (
+                ["--sigma-t", "inf", "fig7"],
+                "repro fig7: error: sigma_T must be positive and finite, got inf",
+            ),
+            (
+                ["sweep", "--families", "TC", "--lengths", "6",
+                 "--axis", "sigma_t=nan"],
+                "repro sweep: error: sigma_T must be positive and finite, got nan",
+            ),
+            (
+                ["--raw-kb", "nan", "info"],
+                "repro info: error: raw density must be positive and finite, got nan",
+            ),
+            (
+                ["--raw-kb", "inf", "info"],
+                "repro info: error: raw density must be positive and finite, got inf",
+            ),
+            (
+                ["--window-margin", "2", "fig7"],
+                "repro fig7: error: window_margin must be in (0, 1], got 2.0",
+            ),
+            (
+                ["--window-margin", "nan", "fig7"],
+                "repro fig7: error: window_margin must be in (0, 1], got nan",
+            ),
+            (
+                ["sweep", "--families", "TC", "--lengths", "6",
+                 "--axis", "window_margin=2"],
+                "repro sweep: error: window_margin must be in (0, 1], got 2",
+            ),
         ],
     )
     def test_one_line_error_exit_2(self, capsys, argv, message):

@@ -34,6 +34,25 @@ class TestCrossbarSpec:
         with pytest.raises(ValueError):
             CrossbarSpec(sigma_t=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sigma_t", float("nan")),
+            ("sigma_t", float("inf")),
+            ("raw_kilobytes", float("nan")),
+            ("raw_kilobytes", float("inf")),
+            ("window_margin", 0.0),
+            ("window_margin", 1.5),
+            ("window_margin", float("nan")),
+        ],
+    )
+    def test_rejects_non_finite_and_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match="got"):
+            CrossbarSpec(**{field: value})
+
+    def test_accepts_full_window_margin(self):
+        assert CrossbarSpec(window_margin=1).window_margin == 1
+
 
 class TestCrossbarFloorplan:
     def floorplan(self, spec, m=10, g=1):

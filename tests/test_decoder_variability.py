@@ -65,6 +65,11 @@ class TestVariabilityMatrix:
         with pytest.raises(ValueError):
             variability_matrix(np.ones((2, 2)), 0.0)
 
+    @pytest.mark.parametrize("sigma_t", [float("nan"), float("inf")])
+    def test_rejects_non_finite_sigma(self, sigma_t):
+        with pytest.raises(ValueError, match="finite"):
+            variability_matrix(np.ones((2, 2)), sigma_t)
+
 
 class TestAverageVariability:
     def test_average(self):

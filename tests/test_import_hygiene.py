@@ -1,14 +1,17 @@
 """Import hygiene: what each entry point loads, checked in a fresh process.
 
-SciPy is imported only where it is used: ``scipy.special`` by the
-Gaussian window ``erf`` (every yield evaluation) and ``scipy.linalg`` /
-``scipy.sparse`` by the electrical readout solvers.  ``import repro``
-loads no subpackage at all; its re-exports resolve on first access.
-The scalar reference implementations live in ``tests/oracles/`` and
-no CLI path may reach them, nor may the CLI still offer a ``--method``
-switch between them and the engines.  Each check runs in a new
-interpreter, because this test process has long since imported
-everything.
+SciPy is imported only where it is used: ``scipy.linalg`` /
+``scipy.sparse`` by the electrical readout solvers, and nowhere else.
+The Gaussian window ``erf`` behind every yield is an in-repo port of
+SciPy's cephes ``erf`` (``tests/test_device_erf.py`` pins it bit for
+bit), so the paper-figure, sweep, design-space and shard-worker paths
+run with ``sys.modules["scipy"] = None``, which makes any stray scipy
+import fail.  ``import repro`` loads no subpackage at all; its
+re-exports resolve on first access.  The scalar reference
+implementations live in ``tests/oracles/`` and no CLI path may reach
+them, nor may the CLI still offer a ``--method`` switch between them
+and the engines.  Each check runs in a new interpreter, because this
+test process has long since imported everything.
 """
 
 import json
@@ -72,18 +75,78 @@ def test_import_loads_no_scipy(module):
     assert _scipy(_loaded_after(f"import {module}")) == []
 
 
+#: Makes every later ``import scipy...`` raise ``ImportError``.
+NO_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
+
+
+def _runs_without_scipy(code: str) -> list[str]:
+    """Modules loaded by ``code`` run with SciPy unimportable."""
+    loaded = _loaded_after(NO_SCIPY + code)
+    assert "scipy" in loaded  # the None entry: the block was in place
+    return [m for m in loaded if m.startswith("scipy.")]
+
+
+def _cli_without_scipy(argv: list[str]) -> str:
+    return (
+        "import contextlib, io, repro.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert repro.cli.main({argv!r}) == 0\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["fig7"],
-        ["sweep", "--families", "TC,BGC", "--lengths", "6", "--metric", "yield"],
+        ["sweep", "--families", "TC,BGC", "--lengths", "6",
+         "--metric", "yield,area,margins"],
+        ["fig5"],
+        ["fig6"],
+        ["fig8"],
+        ["evaluate", "BGC", "-M", "10"],
+        ["optimize"],
+        ["headline"],
+        ["theorems"],
     ],
 )
 def test_figure_and_sweep_load_no_solver_scipy(argv):
-    loaded = set(_cli_loads(argv))
-    assert "scipy.special" in loaded  # the window erf
-    for heavy in ("scipy.optimize", "scipy.linalg", "scipy.sparse"):
-        assert heavy not in loaded, heavy
+    """The paper-figure and design-space paths import no SciPy at all."""
+    assert _runs_without_scipy(_cli_without_scipy(argv)) == []
+
+
+def test_shard_run_loads_no_scipy(tmp_path):
+    """A shard worker evaluating sweep points imports no SciPy."""
+    job = str(tmp_path / "job")
+    grid = ["--families", "TC,BGC", "--lengths", "6", "--metric", "yield,area",
+            "--shards", "1"]
+    plan = ["shard", "plan", "sweep", job, *grid]
+    code = (
+        "import contextlib, glob, io, repro.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert repro.cli.main({plan!r}) == 0\n"
+        f"    [spec] = glob.glob({job!r} + '/shards/*.json')\n"
+        "    assert repro.cli.main(['shard', 'run', spec]) == 0\n"
+    )
+    assert _runs_without_scipy(code) == []
+    assert len(list((tmp_path / "job" / "results").glob("*[0-9a-f].json"))) == 1
+
+
+def test_scipy_block_catches_a_solver_import():
+    """The block bites: the distributed readout solver imports SciPy."""
+    code = (
+        "import numpy as np\n"
+        "from repro.sim.readout import distributed_laplacian\n"
+        "distributed_laplacian(np.ones((2, 2)), 1.0, 1.0)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY + code],
+        env=ENV,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "ModuleNotFoundError" in proc.stderr or "ImportError" in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["info"]])
